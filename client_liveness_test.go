@@ -104,66 +104,116 @@ func (f *fakeRemote) PutTraced(key []byte, vals []uint64, cost time.Duration, _ 
 func (f *fakeRemote) Stats() (RemoteStats, error) { return RemoteStats{}, nil }
 func (f *fakeRemote) Flush() error                { return nil }
 
-// TestTieredPanicPropagatesAndFollowersRetry parks followers behind a
-// leader whose compute panics. The historical bug: the leader's panic
-// skipped the delete-and-close of the singleflight entry, so the panic
-// vanished into the Do caller and every follower waited forever on a
-// done channel nobody would close. Now the leader re-propagates the
-// panic and the followers wake to ok=false and retry — one of them
-// becomes the new leader and everyone gets its value.
-func TestTieredPanicPropagatesAndFollowersRetry(t *testing.T) {
-	tm := newTieredMemo(&fakeRemote{}, TieredMemoConfig{Name: "panic"})
-	key := []byte("the-key")
+// panicCase builds one memo whose compute runs body and returns a call
+// on one fixed key.
+type panicCase struct {
+	name string
+	make func(body func() uint64) func() uint64
+}
 
-	leaderIn := make(chan struct{}) // closed once the leader is inside compute
-	release := make(chan struct{})  // closed to let the leader panic
-	panicked := make(chan any, 1)   // the leader's recovered panic value
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		defer func() { panicked <- recover() }()
-		tm.Do(key, func() uint64 {
-			close(leaderIn)
-			<-release
-			panic("compute exploded")
-		})
-	}()
-	<-leaderIn
-
-	// Followers pile onto the in-flight key. Their computes return a
-	// real value, so whichever one takes over as leader settles the key.
-	const followers = 8
-	var wg sync.WaitGroup
-	results := make([]uint64, followers)
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = tm.Do(key, func() uint64 { return 42 })
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond) // let the followers park on the call
-	close(release)
-
-	waitOrFatal(t, leaderDone, 10*time.Second, "panicking leader never returned")
-	if v := <-panicked; v != "compute exploded" {
-		t.Fatalf("leader panic = %v, want %q re-propagated", v, "compute exploded")
-	}
-	followersDone := make(chan struct{})
-	go func() { wg.Wait(); close(followersDone) }()
-	waitOrFatal(t, followersDone, 10*time.Second,
-		"followers still parked after the leader panicked (unclosed singleflight)")
-	for i, v := range results {
-		if v != 42 {
-			t.Errorf("follower %d got %d, want 42 (the retry leader's value)", i, v)
+var panicCases = []panicCase{
+	{"Memoized", func(body func() uint64) func() uint64 {
+		m := NewMemoized(func(int) uint64 { return body() })
+		return func() uint64 { return m.Call(7) }
+	}},
+	{"Memo", func(body func() uint64) func() uint64 {
+		f, _ := Memo(func(int) uint64 { return body() })
+		return func() uint64 { return f(7) }
+	}},
+	{"Memoized2", func(body func() uint64) func() uint64 {
+		m := NewMemoized2(func(int, string) uint64 { return body() })
+		return func() uint64 { return m.Call(7, "k") }
+	}},
+	{"Memo2", func(body func() uint64) func() uint64 {
+		f, _ := Memo2(func(int, string) uint64 { return body() })
+		return func() uint64 { return f(7, "k") }
+	}},
+	{"TieredMemo", func(body func() uint64) func() uint64 {
+		tm := newTieredMemo(&fakeRemote{}, TieredMemoConfig{Name: "panic"})
+		return func() uint64 { return tm.Do([]byte("the-key"), body) }
+	}},
+	{"DepMemo", func(body func() uint64) func() uint64 {
+		m := NewDepMemo(DepConfig{Name: "panic"})
+		return func() uint64 {
+			return m.Do(new(DepInputs).Int(7), func(d *Dep) uint64 { d.Get(0); return body() })
 		}
-	}
+	}},
+}
 
-	// The singleflight map must be empty again: the next Do on the key
-	// is a fresh flight, not a wait on a ghost.
-	done := make(chan struct{})
-	go func() { tm.Do(key, func() uint64 { return 7 }); close(done) }()
-	waitOrFatal(t, done, 10*time.Second, "Do after panic recovery blocked")
+// TestPanicLiveness parks followers behind a leader whose compute
+// panics, for every memo that deduplicates concurrent misses. The
+// historical bugs: a panic skipped the leader's delete-and-close of its
+// in-flight entry, so followers — and every later call on the key —
+// waited forever on a done channel nobody would close. The contract: the
+// panic reaches the leader's caller unrecovered, the parked followers
+// are released (one of them recomputes), and the next call returns.
+func TestPanicLiveness(t *testing.T) {
+	for _, tc := range panicCases {
+		t.Run(tc.name, func(t *testing.T) {
+			leaderIn := make(chan struct{}) // closed once the leader is inside compute
+			release := make(chan struct{})  // closed to let the leader panic
+			var computes atomic.Int64
+			do := tc.make(func() uint64 {
+				if computes.Add(1) == 1 {
+					close(leaderIn)
+					<-release
+					panic("compute exploded")
+				}
+				return 42
+			})
+
+			panicked := make(chan any, 1) // the leader's recovered panic value
+			leaderDone := make(chan struct{})
+			go func() {
+				defer close(leaderDone)
+				defer func() { panicked <- recover() }()
+				do()
+			}()
+			<-leaderIn
+
+			// Followers pile onto the in-flight key. Their computes return
+			// a real value, so whichever one takes over settles the key.
+			const followers = 8
+			var wg sync.WaitGroup
+			results := make([]uint64, followers)
+			for i := 0; i < followers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					results[i] = do()
+				}(i)
+			}
+			time.Sleep(20 * time.Millisecond) // let the followers park on the flight
+			close(release)
+
+			waitOrFatal(t, leaderDone, 10*time.Second, "panicking leader never returned")
+			if v := <-panicked; v != "compute exploded" {
+				t.Fatalf("leader panic = %v, want %q re-propagated", v, "compute exploded")
+			}
+			followersDone := make(chan struct{})
+			go func() { wg.Wait(); close(followersDone) }()
+			waitOrFatal(t, followersDone, 10*time.Second,
+				"followers still parked after the leader panicked (unreleased flight)")
+			for i, v := range results {
+				if v != 42 {
+					t.Errorf("follower %d got %d, want 42 (the retry leader's value)", i, v)
+				}
+			}
+
+			// The flight must be gone: the next call is served, not parked
+			// on a ghost.
+			next := make(chan uint64, 1)
+			go func() { next <- do() }()
+			select {
+			case v := <-next:
+				if v != 42 {
+					t.Fatalf("call after the panic = %d, want 42", v)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("call after the panic blocked")
+			}
+		})
+	}
 }
 
 // TestObserveRTTConcurrent hammers the RTT estimator from many

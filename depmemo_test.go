@@ -240,50 +240,6 @@ func TestDepMemoSingleflight(t *testing.T) {
 	}
 }
 
-// TestDepMemoSingleflightPanic: a panicking leader releases followers,
-// who compute for themselves; the panic propagates to the leader's
-// caller.
-func TestDepMemoSingleflightPanic(t *testing.T) {
-	m := NewDepMemo(DepConfig{})
-	var boom atomic.Bool
-	boom.Store(true)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	f := func(d *Dep) uint64 {
-		v := d.Get(0)
-		if boom.CompareAndSwap(true, false) {
-			close(started)
-			<-release
-			panic("compute failed")
-		}
-		return uint64(v) + 1
-	}
-
-	panicked := make(chan any, 1)
-	go func() {
-		defer func() { panicked <- recover() }()
-		m.Do(new(DepInputs).Int(3), f)
-	}()
-	<-started
-
-	done := make(chan uint64, 1)
-	go func() { done <- m.Do(new(DepInputs).Int(3), f) }()
-	time.Sleep(5 * time.Millisecond)
-	close(release)
-
-	if p := <-panicked; p == nil {
-		t.Fatal("leader panic did not propagate")
-	}
-	select {
-	case v := <-done:
-		if v != 4 {
-			t.Fatalf("follower got %d", v)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("follower hung after leader panic")
-	}
-}
-
 // TestDepMemoConcurrentChurn hammers a bounded memo from many
 // goroutines under -race: distinct footprints, shared footprints, and
 // eviction churn at once, with every result checked.

@@ -89,6 +89,44 @@ func TestTieredMemoL1HitZeroAlloc(t *testing.T) {
 	})
 }
 
+// TestMissPathAllocs pins the miss paths over fresh keys: leader
+// bookkeeping, compute, and the record into the table. Each bound is the
+// count the hand-rolled singleflights had before they shared one
+// primitive; the shared one must not cost more.
+func TestMissPathAllocs(t *testing.T) {
+	assertAllocsAtMost := func(name string, max float64, f func()) {
+		t.Helper()
+		if avg := testing.AllocsPerRun(1000, f); avg > max {
+			t.Errorf("%s: %.1f allocs/op, want <= %.0f", name, avg, max)
+		}
+	}
+
+	m := NewMemoized(func(x int) int { return x * x })
+	i := 0
+	assertAllocsAtMost("memoized/miss", 2, func() {
+		m.Call(i)
+		i++
+	})
+
+	tm := newTieredMemo(&fakeRemote{}, TieredMemoConfig{Name: "alloc-tiered-miss"})
+	var kb KeyBuf
+	compute := func() uint64 { return 1 }
+	j := int64(0)
+	assertAllocsAtMost("tiered/miss", 10, func() {
+		tm.Do(kb.Reset().Int(j).Bytes(), compute)
+		j++
+	})
+
+	dm := NewDepMemo(DepConfig{Name: "alloc-dep-miss"})
+	var in DepInputs
+	f := func(d *Dep) uint64 { return uint64(d.Get(0)) }
+	k := int64(0)
+	assertAllocsAtMost("depmemo/miss", 4, func() {
+		dm.Do(in.Reset().Int(k), f)
+		k++
+	})
+}
+
 // BenchmarkMemoizedHit measures the generic memo hit path (tracked in
 // BENCH_6.json; the acceptance gate is 0 allocs/op).
 func BenchmarkMemoizedHit(b *testing.B) {
