@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check bench bench-json bench-gate eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke
+.PHONY: build vet test race liveness perfbench-check check bench bench-json bench-gate eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet race
+# liveness repeats the singleflight panic tests: every memo that
+# deduplicates concurrent misses, and internal/flight itself.
+liveness:
+	$(GO) test -race -count=10 -run 'TestPanicLiveness' .
+	$(GO) test -race -count=10 ./internal/flight/
+
+# perfbench-check compiles and tests the benchmark runner, a nested module
+# that root `go build ./...` skips, so a root API change that breaks it
+# fails here rather than at benchmark time.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet race liveness perfbench-check
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"compreuse/internal/flight"
 	"compreuse/internal/obs"
 	"compreuse/internal/wire"
 )
@@ -82,23 +83,19 @@ type Client struct {
 	segMu sync.Mutex
 	segs  map[string]*RemoteSegment
 
-	sfMu sync.Mutex
-	sf   map[sfKey]*sfCall
+	flight flight.Group[sfKey, getResult]
 
 	closed atomic.Bool
 }
 
+// sfKey identifies one in-flight GET: a key within a segment.
 type sfKey struct {
 	seg uint32
 	key string
 }
 
-type sfCall struct {
-	done chan struct{}
-	// ok is set by the leader on normal completion, before done closes.
-	// A follower that observes !ok knows the leader panicked out of the
-	// call and must retry instead of trusting the zero-valued result.
-	ok     bool
+// getResult is one probe's outcome.
+type getResult struct {
 	vals   []uint64
 	status GetStatus
 	err    error
@@ -114,7 +111,6 @@ func DialCache(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		cfg:  cfg,
 		segs: map[string]*RemoteSegment{},
-		sf:   map[sfKey]*sfCall{},
 	}
 	for i := 0; i < cfg.conns(); i++ {
 		cc, err := dialConn(cfg)
@@ -252,12 +248,10 @@ type RemoteSegment struct {
 
 // batchGet is one queued probe awaiting its (possibly shared) flight.
 type batchGet struct {
-	key    []byte
-	tid    uint64 // trace id to stamp on the flight's frame (0 = untraced)
-	done   chan struct{}
-	vals   []uint64
-	status GetStatus
-	err    error
+	key  []byte
+	tid  uint64 // trace id to stamp on the flight's frame (0 = untraced)
+	done chan struct{}
+	getResult
 }
 
 // batchPut is one queued record awaiting its flight.
@@ -330,6 +324,14 @@ func (c *Client) Segment(name string, cfg SegmentConfig) (*RemoteSegment, error)
 	return s, nil
 }
 
+func (c *Client) remoteSegment(name string, cfg SegmentConfig) (remoteCache, error) {
+	s, err := c.Segment(name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // GetStatus classifies a remote probe's outcome.
 type GetStatus int
 
@@ -393,49 +395,19 @@ func (s *RemoteSegment) doGet(key []byte, tid uint64) ([]uint64, GetStatus, erro
 		return nil, Bypass, nil
 	}
 
-	k := sfKey{seg: s.id, key: string(key)}
-	c := s.c
-	for {
-		c.sfMu.Lock()
-		if call, ok := c.sf[k]; ok {
-			c.sfMu.Unlock()
-			<-call.done
-			if !call.ok {
-				// The leader panicked out of its flight; its result is
-				// garbage. Retry — this caller likely becomes the leader.
-				continue
-			}
-			return append([]uint64(nil), call.vals...), call.status, call.err
-		}
-		call := &sfCall{done: make(chan struct{})}
-		c.sf[k] = call
-		c.sfMu.Unlock()
-
-		// The map delete and the done close live in a defer so that a
-		// panic anywhere in the leader's flight (the user-visible half of
-		// it runs compute callbacks in TieredMemo) still unparks every
-		// follower and clears the entry — otherwise one panic would hang
-		// every future Get of this key forever. The panic itself is not
-		// recovered: it propagates to the leader's caller.
-		func() {
-			defer func() {
-				c.sfMu.Lock()
-				delete(c.sf, k)
-				c.sfMu.Unlock()
-				close(call.done)
-			}()
-			call.vals, call.status, call.err = s.get(key, tid)
-			call.ok = true
-		}()
-		return call.vals, call.status, call.err
+	r, shared := s.c.flight.Do(sfKey{seg: s.id, key: string(key)}, func() getResult { return s.get(key, tid) })
+	if shared {
+		// The caller owns the returned slice, so followers get copies.
+		r.vals = append([]uint64(nil), r.vals...)
 	}
+	return r.vals, r.status, r.err
 }
 
 // get enqueues one probe for the flight loop and waits for its result.
 // The caller blocks for the flight's round trip either way; what the
 // queue buys is that every probe queued during an in-flight RTT leaves
 // in a single MGET frame when it returns.
-func (s *RemoteSegment) get(key []byte, tid uint64) ([]uint64, GetStatus, error) {
+func (s *RemoteSegment) get(key []byte, tid uint64) getResult {
 	bg := &batchGet{key: key, tid: tid, done: make(chan struct{})}
 	s.batchMu.Lock()
 	s.getQ = append(s.getQ, bg)
@@ -445,7 +417,7 @@ func (s *RemoteSegment) get(key []byte, tid uint64) ([]uint64, GetStatus, error)
 	}
 	s.batchMu.Unlock()
 	<-bg.done
-	return bg.vals, bg.status, bg.err
+	return bg.getResult
 }
 
 // getFlightLoop drains the GET queue, one frame per iteration, until a

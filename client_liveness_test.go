@@ -87,8 +87,10 @@ func TestTeardownNoDeadlock(t *testing.T) {
 }
 
 // fakeRemote is an L2 that always misses, so every TieredMemo.Do takes
-// the singleflight leader path.
+// the singleflight leader path. It is its own Remote.
 type fakeRemote struct{ puts atomic.Int64 }
+
+func (f *fakeRemote) remoteSegment(string, SegmentConfig) (remoteCache, error) { return f, nil }
 
 func (f *fakeRemote) Get(key []byte) ([]uint64, GetStatus, error) { return nil, Miss, nil }
 func (f *fakeRemote) GetTraced(key []byte, _ obs.TraceCtx) ([]uint64, GetStatus, error) {
@@ -108,31 +110,34 @@ func (f *fakeRemote) Flush() error                { return nil }
 // on one fixed key.
 type panicCase struct {
 	name string
-	make func(body func() uint64) func() uint64
+	make func(t *testing.T, body func() uint64) func() uint64
 }
 
 var panicCases = []panicCase{
-	{"Memoized", func(body func() uint64) func() uint64 {
+	{"Memoized", func(t *testing.T, body func() uint64) func() uint64 {
 		m := NewMemoized(func(int) uint64 { return body() })
 		return func() uint64 { return m.Call(7) }
 	}},
-	{"Memo", func(body func() uint64) func() uint64 {
+	{"Memo", func(t *testing.T, body func() uint64) func() uint64 {
 		f, _ := Memo(func(int) uint64 { return body() })
 		return func() uint64 { return f(7) }
 	}},
-	{"Memoized2", func(body func() uint64) func() uint64 {
+	{"Memoized2", func(t *testing.T, body func() uint64) func() uint64 {
 		m := NewMemoized2(func(int, string) uint64 { return body() })
 		return func() uint64 { return m.Call(7, "k") }
 	}},
-	{"Memo2", func(body func() uint64) func() uint64 {
+	{"Memo2", func(t *testing.T, body func() uint64) func() uint64 {
 		f, _ := Memo2(func(int, string) uint64 { return body() })
 		return func() uint64 { return f(7, "k") }
 	}},
-	{"TieredMemo", func(body func() uint64) func() uint64 {
-		tm := newTieredMemo(&fakeRemote{}, TieredMemoConfig{Name: "panic"})
+	{"TieredMemo", func(t *testing.T, body func() uint64) func() uint64 {
+		tm, err := NewTieredMemo(&fakeRemote{}, TieredMemoConfig{Name: "panic"})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return func() uint64 { return tm.Do([]byte("the-key"), body) }
 	}},
-	{"DepMemo", func(body func() uint64) func() uint64 {
+	{"DepMemo", func(t *testing.T, body func() uint64) func() uint64 {
 		m := NewDepMemo(DepConfig{Name: "panic"})
 		return func() uint64 {
 			return m.Do(new(DepInputs).Int(7), func(d *Dep) uint64 { d.Get(0); return body() })
@@ -153,7 +158,7 @@ func TestPanicLiveness(t *testing.T) {
 			leaderIn := make(chan struct{}) // closed once the leader is inside compute
 			release := make(chan struct{})  // closed to let the leader panic
 			var computes atomic.Int64
-			do := tc.make(func() uint64 {
+			do := tc.make(t, func() uint64 {
 				if computes.Add(1) == 1 {
 					close(leaderIn)
 					<-release

@@ -213,7 +213,7 @@ func fleetMain(args []string, out, logw io.Writer) (fleetReport, error) {
 	defer pool.Close()
 
 	const segName = "fleetdemo"
-	tm, err := compreuse.NewTieredMemoFleet(pool, compreuse.TieredMemoConfig{
+	tm, err := compreuse.NewTieredMemo(pool, compreuse.TieredMemoConfig{
 		Name: segName,
 		// A tiny LRU L1 keeps the local tier honest while forcing most
 		// hits across the wire, where the ring is.

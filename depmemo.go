@@ -4,9 +4,11 @@ import (
 	"hash/maphash"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"compreuse/internal/depmemo"
+	"compreuse/internal/flight"
 )
 
 // DepMemo is a dependence-tracked selective memoizer (Acar–Blelloch–
@@ -40,13 +42,13 @@ import (
 // input sets are deduplicated singleflight-style: one caller computes,
 // the rest wait and re-probe.
 type DepMemo struct {
-	cfg  DepConfig
-	seed maphash.Seed
+	cfg    DepConfig
+	seed   maphash.Seed
+	flight flight.Group[uint64, uint64] // keyed by flightKey
 
 	mu    sync.Mutex
 	tab   *depmemo.Table
 	fetch depFetch
-	sf    map[uint64]*depCall
 	calls int64
 	hits  int64
 
@@ -99,20 +101,16 @@ func (s DepStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Calls)
 }
 
-// depCall is one in-flight compute; the leader closes done after
-// recording. Followers re-probe rather than adopt a value, so a flight-
-// key collision can cost a duplicate compute but never a wrong result.
-type depCall struct {
-	done chan struct{}
-}
-
 // NewDepMemo builds a DepMemo.
-func NewDepMemo(cfg DepConfig) *DepMemo {
+func NewDepMemo(cfg DepConfig) *DepMemo { return newDepMemo(cfg, false) }
+
+// newDepMemo builds a DepMemo whose table, with ghosts set, keeps the
+// keys of evicted results for TieredDepMemo's remote refill.
+func newDepMemo(cfg DepConfig, ghosts bool) *DepMemo {
 	m := &DepMemo{
 		cfg:  cfg,
 		seed: maphash.MakeSeed(),
-		tab:  depmemo.New(depmemo.Config{Name: cfg.Name, Entries: cfg.Budget}),
-		sf:   map[uint64]*depCall{},
+		tab:  depmemo.New(depmemo.Config{Name: cfg.Name, Entries: cfg.Budget, Ghosts: ghosts}),
 	}
 	m.fetch.m = m
 	m.depPool.New = func() any { return &Dep{m: m, seen: map[depmemo.Loc]struct{}{}} }
@@ -370,74 +368,50 @@ func (m *DepMemo) putDep(d *Dep) {
 // in, running compute on a miss. compute must be deterministic over its
 // tracked reads; see the type comment.
 func (m *DepMemo) Do(in *DepInputs, compute func(*Dep) uint64) uint64 {
-	waited := false
-	for {
-		m.mu.Lock()
-		if !waited {
-			m.calls++
-		}
-		m.fetch.in = in
-		r := m.tab.Probe(&m.fetch)
-		m.fetch.in = nil
-		if r.Hit {
-			m.hits++
-			v := r.Outs[0]
-			m.mu.Unlock()
+	if v, ok := m.probe(in, true); ok {
+		return v
+	}
+	v, shared := m.flight.Do(m.flightKey(in), func() uint64 {
+		// A leader that finished between the probe above and Do has
+		// already recorded this footprint.
+		if v, ok := m.probe(in, false); ok {
 			return v
 		}
-		if waited {
-			// Already joined one flight and still missing: compute
-			// directly — flight keys are hashes, and a duplicate
-			// compute is cheaper than a wrong adoption or a livelock.
-			m.mu.Unlock()
-			return m.computeDirect(in, compute)
-		}
-		fk := m.flightKey(in)
-		if c, ok := m.sf[fk]; ok {
-			// Join the in-flight compute, then re-probe: if the
-			// leader's inputs were ours, its record is our hit.
-			m.mu.Unlock()
-			<-c.done
-			waited = true
-			continue
-		}
-		c := &depCall{done: make(chan struct{})}
-		m.sf[fk] = c
-		m.mu.Unlock()
-		return m.lead(in, compute, fk, c)
+		return m.run(in, compute)
+	})
+	if !shared {
+		return v
 	}
+	// A follower re-probes rather than adopt the leader's value: flight
+	// keys are hashes, so the leader may have computed other inputs.
+	// Still missing, it computes directly, since a duplicate compute is
+	// cheaper than a wrong adoption or a livelock.
+	if v, ok := m.probe(in, false); ok {
+		return v
+	}
+	return m.run(in, compute)
 }
 
-// lead runs compute as the flight leader, records the footprint, and
-// releases followers. A panic in compute still releases them (they
-// retry or compute themselves) and propagates.
-func (m *DepMemo) lead(in *DepInputs, compute func(*Dep) uint64, fk uint64, c *depCall) uint64 {
-	d := m.getDep(in)
-	normal := false
-	defer func() {
-		if !normal {
-			m.mu.Lock()
-			delete(m.sf, fk)
-			m.mu.Unlock()
-			close(c.done)
-			m.putDep(d)
-		}
-	}()
-	v := compute(d)
-	normal = true
-	d.out[0] = v
+// probe looks the inputs up in the footprint trie, counting a hit; a
+// call's first probe also counts the call.
+func (m *DepMemo) probe(in *DepInputs, first bool) (uint64, bool) {
 	m.mu.Lock()
-	m.tab.Record(d.path, d.out[:])
-	delete(m.sf, fk)
-	m.mu.Unlock()
-	close(c.done)
-	m.putDep(d)
-	return v
+	defer m.mu.Unlock()
+	if first {
+		m.calls++
+	}
+	m.fetch.in = in
+	r := m.tab.Probe(&m.fetch)
+	m.fetch.in = nil
+	if !r.Hit {
+		return 0, false
+	}
+	m.hits++
+	return r.Outs[0], true
 }
 
-// computeDirect runs compute with tracking and records, without
-// registering a flight.
-func (m *DepMemo) computeDirect(in *DepInputs, compute func(*Dep) uint64) uint64 {
+// run runs compute with tracking and records its footprint.
+func (m *DepMemo) run(in *DepInputs, compute func(*Dep) uint64) uint64 {
 	d := m.getDep(in)
 	defer m.putDep(d)
 	v := compute(d)
@@ -525,60 +499,41 @@ type TieredDepStats struct {
 // accelerator. It degrades gracefully: on remote errors Do computes
 // locally and never fails.
 type TieredDepMemo struct {
-	dm  *DepMemo
-	seg remoteCache
-
-	statMu sync.Mutex
-	stats  TieredDepStats
+	dm    *DepMemo
+	seg   remoteCache
+	stats [5]atomic.Int64 // mirrors TieredDepStats field order
 }
 
-// NewTieredDepMemo builds a TieredDepMemo over one server connection.
-func NewTieredDepMemo(c *Client, cfg TieredDepMemoConfig) (*TieredDepMemo, error) {
+const (
+	tdsCalls = iota
+	tdsL1Hits
+	tdsGhostHits
+	tdsComputes
+	tdsErrors
+)
+
+// NewTieredDepMemo registers the segment on r, a single server or a
+// fleet, and builds the tiered memo.
+func NewTieredDepMemo(r Remote, cfg TieredDepMemoConfig) (*TieredDepMemo, error) {
 	rc := cfg.Remote
 	rc.OutWords = 1
-	seg, err := c.Segment(cfg.Name, rc)
+	seg, err := r.remoteSegment(cfg.Name, rc)
 	if err != nil {
 		return nil, err
 	}
-	return newTieredDepMemo(seg, cfg), nil
-}
-
-// NewTieredDepMemoFleet builds a TieredDepMemo over a consistent-hash
-// fleet.
-func NewTieredDepMemoFleet(p *Pool, cfg TieredDepMemoConfig) (*TieredDepMemo, error) {
-	rc := cfg.Remote
-	rc.OutWords = 1
-	seg, err := p.Segment(cfg.Name, rc)
-	if err != nil {
-		return nil, err
-	}
-	return newTieredDepMemo(seg, cfg), nil
-}
-
-func newTieredDepMemo(seg remoteCache, cfg TieredDepMemoConfig) *TieredDepMemo {
 	budget := cfg.Budget
 	if budget <= 0 {
 		budget = 4096
 	}
-	dm := &DepMemo{
-		cfg:  DepConfig{Name: cfg.Name, Budget: budget, FloatTolerance: cfg.FloatTolerance},
-		seed: maphash.MakeSeed(),
-		tab:  depmemo.New(depmemo.Config{Name: cfg.Name, Entries: budget, Ghosts: true}),
-		sf:   map[uint64]*depCall{},
-	}
-	dm.fetch.m = dm
-	dm.depPool.New = func() any { return &Dep{m: dm, seen: map[depmemo.Loc]struct{}{}} }
-	return &TieredDepMemo{dm: dm, seg: seg}
+	dm := newDepMemo(DepConfig{Name: cfg.Name, Budget: budget, FloatTolerance: cfg.FloatTolerance}, true)
+	return &TieredDepMemo{dm: dm, seg: seg}, nil
 }
 
 // Do returns the memoized result for the footprint compute reads out of
 // in: local trie first, then — when the probe matches an evicted
 // result's ghost — the remote tier by dependence key, then compute.
 func (t *TieredDepMemo) Do(in *DepInputs, compute func(*Dep) uint64) uint64 {
-	t.statMu.Lock()
-	t.stats.Calls++
-	t.statMu.Unlock()
-
+	t.stats[tdsCalls].Add(1)
 	m := t.dm
 	m.mu.Lock()
 	m.fetch.in = in
@@ -587,9 +542,7 @@ func (t *TieredDepMemo) Do(in *DepInputs, compute func(*Dep) uint64) uint64 {
 	if r.Hit {
 		v := r.Outs[0]
 		m.mu.Unlock()
-		t.statMu.Lock()
-		t.stats.L1Hits++
-		t.statMu.Unlock()
+		t.stats[tdsL1Hits].Add(1)
 		return v
 	}
 	if r.Ghost {
@@ -605,9 +558,7 @@ func (t *TieredDepMemo) Do(in *DepInputs, compute func(*Dep) uint64) uint64 {
 			m.mu.Lock()
 			m.tab.Refill(r, key, vals)
 			m.mu.Unlock()
-			t.statMu.Lock()
-			t.stats.GhostHits++
-			t.statMu.Unlock()
+			t.stats[tdsGhostHits].Add(1)
 			return vals[0]
 		}
 		return t.compute(in, compute, err != nil)
@@ -633,20 +584,22 @@ func (t *TieredDepMemo) compute(in *DepInputs, compute func(*Dep) uint64, remote
 	if err := t.seg.Put(key, []uint64{v}, cost); err != nil {
 		remoteErr = true
 	}
-	t.statMu.Lock()
-	t.stats.Computes++
+	t.stats[tdsComputes].Add(1)
 	if remoteErr {
-		t.stats.Errors++
+		t.stats[tdsErrors].Add(1)
 	}
-	t.statMu.Unlock()
 	return v
 }
 
 // Stats returns a snapshot of the tier counters.
 func (t *TieredDepMemo) Stats() TieredDepStats {
-	t.statMu.Lock()
-	defer t.statMu.Unlock()
-	return t.stats
+	return TieredDepStats{
+		Calls:     t.stats[tdsCalls].Load(),
+		L1Hits:    t.stats[tdsL1Hits].Load(),
+		GhostHits: t.stats[tdsGhostHits].Load(),
+		Computes:  t.stats[tdsComputes].Load(),
+		Errors:    t.stats[tdsErrors].Load(),
+	}
 }
 
 // Local returns the local DepMemo's stats (footprints, evictions,
@@ -657,7 +610,7 @@ func (t *TieredDepMemo) Local() DepStats { return t.dm.Stats() }
 // is left to its owner (use the segment's Flush for that).
 func (t *TieredDepMemo) Reset() {
 	t.dm.Reset()
-	t.statMu.Lock()
-	t.stats = TieredDepStats{}
-	t.statMu.Unlock()
+	for i := range t.stats {
+		t.stats[i].Store(0)
+	}
 }

@@ -298,7 +298,7 @@ func TestDepMemoReset(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Tiered
 
-// memRemote is an in-memory remoteCache double.
+// memRemote is an in-memory remoteCache double, and its own Remote.
 type memRemote struct {
 	mu   sync.Mutex
 	m    map[string]uint64
@@ -308,6 +308,17 @@ type memRemote struct {
 }
 
 func newMemRemote() *memRemote { return &memRemote{m: map[string]uint64{}} }
+
+func (f *memRemote) remoteSegment(string, SegmentConfig) (remoteCache, error) { return f, nil }
+
+func newTestTieredDepMemo(t *testing.T, r *memRemote, cfg TieredDepMemoConfig) *TieredDepMemo {
+	t.Helper()
+	tm, err := NewTieredDepMemo(r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tm
+}
 
 func (f *memRemote) Get(key []byte) ([]uint64, GetStatus, error) {
 	f.mu.Lock()
@@ -349,7 +360,7 @@ func (f *memRemote) Flush() error                { return nil }
 // remote tier instead of recomputing.
 func TestTieredDepMemoGhostRefill(t *testing.T) {
 	remote := newMemRemote()
-	tm := newTieredDepMemo(remote, TieredDepMemoConfig{Name: "tier", Budget: 2})
+	tm := newTestTieredDepMemo(t, remote, TieredDepMemoConfig{Name: "tier", Budget: 2})
 	var computes atomic.Int64
 	f := func(d *Dep) uint64 { computes.Add(1); return uint64(d.Get(0)) * 10 }
 
@@ -389,7 +400,7 @@ func TestTieredDepMemoGhostRefill(t *testing.T) {
 // value. Budget far below the key space keeps the ghost path hot.
 func TestTieredDepMemoConcurrentGhosts(t *testing.T) {
 	remote := newMemRemote()
-	tm := newTieredDepMemo(remote, TieredDepMemoConfig{Name: "conc", Budget: 2})
+	tm := newTestTieredDepMemo(t, remote, TieredDepMemoConfig{Name: "conc", Budget: 2})
 	f := func(d *Dep) uint64 { return uint64(d.Get(0)) * 10 }
 
 	var wg sync.WaitGroup
@@ -426,7 +437,7 @@ func TestTieredDepMemoConcurrentGhosts(t *testing.T) {
 func TestTieredDepMemoRemoteDown(t *testing.T) {
 	remote := newMemRemote()
 	remote.fail = true
-	tm := newTieredDepMemo(remote, TieredDepMemoConfig{Name: "down", Budget: 2})
+	tm := newTestTieredDepMemo(t, remote, TieredDepMemoConfig{Name: "down", Budget: 2})
 	f := func(d *Dep) uint64 { return uint64(d.Get(0)) + 1 }
 	var in DepInputs
 	for i := int64(0); i < 4; i++ {

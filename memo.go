@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"compreuse/internal/flight"
 	"compreuse/internal/obs"
 	"compreuse/internal/reusetab"
 )
@@ -109,20 +110,21 @@ func memoShardCount() int {
 	return s
 }
 
-// inflightCall is one singleflight computation: the leader closes done
-// after storing val, and every waiter reads val afterwards.
-type inflightCall[V any] struct {
-	done chan struct{}
-	val  V
+// memoShard is one lock stripe of a memoized function's table, with its
+// own flight group so misses on different stripes never share a lock,
+// padded to a cache line so neighboring stripes do not false-share.
+type memoShard[K comparable, V any] struct {
+	mu     sync.RWMutex
+	vals   map[K]V
+	flight flight.Group[K, V]
+	_      [16]byte
 }
 
-// memoShard is one lock stripe of a memoized function's table, padded to
-// a cache line so neighboring stripes do not false-share.
-type memoShard[K comparable, V any] struct {
-	mu       sync.RWMutex
-	vals     map[K]V
-	inflight map[K]*inflightCall[V]
-	_        [24]byte
+func (sh *memoShard[K, V]) load(k K) (V, bool) {
+	sh.mu.RLock()
+	v, ok := sh.vals[k]
+	sh.mu.RUnlock()
+	return v, ok
 }
 
 // Memoized is the handle behind Memo: the sharded singleflight reuse
@@ -155,7 +157,6 @@ func NewMemoized[K comparable, V any](f func(K) V) *Memoized[K, V] {
 	m.mask = uint64(len(m.shards) - 1)
 	for i := range m.shards {
 		m.shards[i].vals = map[K]V{}
-		m.shards[i].inflight = map[K]*inflightCall[V]{}
 	}
 	return m
 }
@@ -166,42 +167,30 @@ func (m *Memoized[K, V]) call(k K) (v V, hit bool) {
 	atomic.AddInt64(&m.stats.Calls, 1)
 	sh := &m.shards[maphash.Comparable(m.seed, k)&m.mask]
 
-	// Fast path: shared-lock probe.
-	sh.mu.RLock()
-	v, ok := sh.vals[k]
-	sh.mu.RUnlock()
-	if ok {
+	if v, ok := sh.load(k); ok {
 		atomic.AddInt64(&m.stats.Hits, 1)
 		return v, true
 	}
-
-	// Slow path: re-probe under the write lock, then either join an
-	// in-flight computation or become its leader.
-	sh.mu.Lock()
-	if v, ok := sh.vals[k]; ok {
+	computed := false
+	v, _ = sh.flight.Do(k, func() V {
+		// A leader that finished between the probe above and Do has
+		// already stored k: re-probe, so f runs once per key.
+		if v, ok := sh.load(k); ok {
+			return v
+		}
+		computed = true
+		v := m.f(k)
+		sh.mu.Lock()
+		sh.vals[k] = v
 		sh.mu.Unlock()
+		return v
+	})
+	if !computed {
 		atomic.AddInt64(&m.stats.Hits, 1)
 		return v, true
 	}
-	if c, ok := sh.inflight[k]; ok {
-		sh.mu.Unlock()
-		<-c.done
-		atomic.AddInt64(&m.stats.Hits, 1)
-		return c.val, true
-	}
-	c := &inflightCall[V]{done: make(chan struct{})}
-	sh.inflight[k] = c
-	sh.mu.Unlock()
-
-	c.val = m.f(k)
-
-	sh.mu.Lock()
-	sh.vals[k] = c.val
-	delete(sh.inflight, k)
-	sh.mu.Unlock()
 	atomic.AddInt64(&m.stats.Distinct, 1)
-	close(c.done)
-	return c.val, false
+	return v, false
 }
 
 // Call invokes the memoized function.

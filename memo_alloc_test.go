@@ -2,6 +2,8 @@ package compreuse
 
 import (
 	"testing"
+
+	"compreuse/internal/obs"
 )
 
 // The memoization runtime's profitability condition (paper formula 3,
@@ -90,9 +92,9 @@ func TestTieredMemoL1HitZeroAlloc(t *testing.T) {
 }
 
 // TestMissPathAllocs pins the miss paths over fresh keys: leader
-// bookkeeping, compute, and the record into the table. Each bound is the
-// count the hand-rolled singleflights had before they shared one
-// primitive; the shared one must not cost more.
+// bookkeeping, compute, and the record into the table. Of each count,
+// one is the flight's call record; the leader's closure must stay on
+// the stack.
 func TestMissPathAllocs(t *testing.T) {
 	assertAllocsAtMost := func(name string, max float64, f func()) {
 		t.Helper()
@@ -103,25 +105,33 @@ func TestMissPathAllocs(t *testing.T) {
 
 	m := NewMemoized(func(x int) int { return x * x })
 	i := 0
-	assertAllocsAtMost("memoized/miss", 2, func() {
+	assertAllocsAtMost("memoized/miss", 1, func() {
 		m.Call(i)
 		i++
 	})
 
-	tm := newTieredMemo(&fakeRemote{}, TieredMemoConfig{Name: "alloc-tiered-miss"})
+	tm, err := NewTieredMemo(&fakeRemote{}, TieredMemoConfig{Name: "alloc-tiered-miss"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var kb KeyBuf
 	compute := func() uint64 { return 1 }
 	j := int64(0)
-	assertAllocsAtMost("tiered/miss", 10, func() {
+	assertAllocsAtMost("tiered/miss", 9, func() {
 		tm.Do(kb.Reset().Int(j).Bytes(), compute)
 		j++
 	})
 
+	if obs.RaceEnabled {
+		// The race detector makes sync.Pool drop items at random, so a
+		// miss sometimes allocates a fresh Dep view.
+		return
+	}
 	dm := NewDepMemo(DepConfig{Name: "alloc-dep-miss"})
 	var in DepInputs
 	f := func(d *Dep) uint64 { return uint64(d.Get(0)) }
 	k := int64(0)
-	assertAllocsAtMost("depmemo/miss", 4, func() {
+	assertAllocsAtMost("depmemo/miss", 3, func() {
 		dm.Do(in.Reset().Int(k), f)
 		k++
 	})

@@ -455,6 +455,14 @@ func (p *Pool) Segment(name string, cfg SegmentConfig) (*PoolSegment, error) {
 	return s, nil
 }
 
+func (p *Pool) remoteSegment(name string, cfg SegmentConfig) (remoteCache, error) {
+	s, err := p.Segment(name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // PoolSegment is the fleet-routed handle to one named segment: the same
 // Get/Put/Stats/Flush surface as RemoteSegment, with consistent-hash
 // routing, replicated writes and ring-fallback reads behind it.

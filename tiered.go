@@ -1,10 +1,10 @@
 package compreuse
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"compreuse/internal/flight"
 	"compreuse/internal/obs"
 )
 
@@ -56,12 +56,19 @@ type TieredMemo struct {
 	seg   remoteCache
 	stats [6]atomic.Int64 // mirrors TieredStats field order
 
-	// sf deduplicates concurrent misses on one key: the first caller
-	// (the leader) does the remote GET and, on a fleet-wide miss, the
-	// compute; everyone else waits for the leader's value — one round
-	// trip and one computation per in-flight key, not one per caller.
-	sfMu sync.Mutex
-	sf   map[string]*tieredCall
+	// flight deduplicates concurrent misses on one key: the leader does
+	// the remote GET and, on a fleet-wide miss, the compute; everyone
+	// else waits for the leader's value — one round trip and one
+	// computation per in-flight key, not one per caller.
+	flight flight.Group[string, uint64]
+}
+
+// Remote is the shared L2 a tier is built over: a *Client (one crcserve
+// node) or a *Pool (a consistent-hash fleet: keys route by hash, PUTs
+// replicate, and reads fail over to the next ring node). Its one method
+// is unexported, so no other type satisfies it.
+type Remote interface {
+	remoteSegment(name string, cfg SegmentConfig) (remoteCache, error)
 }
 
 // remoteCache is the L2 surface TieredMemo drives: a single crcserve
@@ -77,16 +84,6 @@ type remoteCache interface {
 	Flush() error
 }
 
-// tieredCall is one in-flight Do: the leader closes done after storing
-// val, and every follower reads val afterwards. ok is set only on
-// normal completion — a follower that wakes to !ok knows the leader
-// panicked and retries instead of returning the zero value.
-type tieredCall struct {
-	done chan struct{}
-	val  uint64
-	ok   bool
-}
-
 const (
 	tsCalls = iota
 	tsL1Hits
@@ -96,34 +93,15 @@ const (
 	tsErrors
 )
 
-// NewTieredMemo registers the segment on the server and builds the
-// two-level table.
-func NewTieredMemo(c *Client, cfg TieredMemoConfig) (*TieredMemo, error) {
+// NewTieredMemo registers the segment on r, a single server or a fleet,
+// and builds the two-level table.
+func NewTieredMemo(r Remote, cfg TieredMemoConfig) (*TieredMemo, error) {
 	remote := cfg.Remote
 	remote.OutWords = 1
-	seg, err := c.Segment(cfg.Name, remote)
+	seg, err := r.remoteSegment(cfg.Name, remote)
 	if err != nil {
 		return nil, err
 	}
-	return newTieredMemo(seg, cfg), nil
-}
-
-// NewTieredMemoFleet builds a TieredMemo whose L2 is a sharded crcserve
-// fleet instead of a single node: keys route by consistent hash, PUTs
-// replicate, and reads fail over to the next ring node when the primary
-// errors. The Do/Stats/Reset surface is identical to the single-node
-// TieredMemo.
-func NewTieredMemoFleet(p *Pool, cfg TieredMemoConfig) (*TieredMemo, error) {
-	remote := cfg.Remote
-	remote.OutWords = 1
-	seg, err := p.Segment(cfg.Name, remote)
-	if err != nil {
-		return nil, err
-	}
-	return newTieredMemo(seg, cfg), nil
-}
-
-func newTieredMemo(seg remoteCache, cfg TieredMemoConfig) *TieredMemo {
 	return &TieredMemo{
 		l1: NewMemoTable(MemoTableConfig{
 			Name:    cfg.Name + "/l1",
@@ -132,7 +110,7 @@ func newTieredMemo(seg remoteCache, cfg TieredMemoConfig) *TieredMemo {
 			Shards:  cfg.L1Shards,
 		}),
 		seg: seg,
-	}
+	}, nil
 }
 
 // Do returns the value for key, from L1, then L2, then by running
@@ -157,48 +135,13 @@ func (t *TieredMemo) Do(key []byte, compute func() uint64) uint64 {
 		return v
 	}
 
-	ks := string(key)
-	for {
-		t.sfMu.Lock()
-		if c, ok := t.sf[ks]; ok {
-			t.sfMu.Unlock()
-			<-c.done
-			if !c.ok {
-				// The leader's compute panicked; its val is garbage.
-				// Retry — this follower likely becomes the next leader
-				// and runs (or panics out of) its own compute.
-				continue
-			}
-			t.stats[tsL1Hits].Add(1)
-			root.Outcome("coalesced")
-			root.End()
-			return c.val
-		}
-		c := &tieredCall{done: make(chan struct{})}
-		if t.sf == nil {
-			t.sf = map[string]*tieredCall{}
-		}
-		t.sf[ks] = c
-		t.sfMu.Unlock()
-
-		// Delete-and-close runs in a defer: compute is user code and may
-		// panic, and a leaked map entry with an unclosed done would park
-		// every follower (and every future caller of this key) forever.
-		// The panic is not recovered — it propagates to the leader's
-		// caller, exactly as an un-memoized compute() would.
-		func() {
-			defer func() {
-				t.sfMu.Lock()
-				delete(t.sf, ks)
-				t.sfMu.Unlock()
-				close(c.done)
-			}()
-			c.val = t.doMiss(key, compute, &root)
-			c.ok = true
-		}()
-		root.End()
-		return c.val
+	v, shared := t.flight.Do(string(key), func() uint64 { return t.doMiss(key, compute, &root) })
+	if shared {
+		t.stats[tsL1Hits].Add(1)
+		root.Outcome("coalesced")
 	}
+	root.End()
+	return v
 }
 
 // doMiss is the leader's slow path: L2 probe, then compute, recording
