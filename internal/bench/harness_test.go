@@ -7,9 +7,11 @@ import (
 )
 
 // TestHarnessRendersAllExperiments drives every table and figure generator
-// at a heavily reduced workload scale and checks structural invariants of
-// the output. This is the integration test of the whole evaluation path;
-// cmd/crcbench runs the same code at full scale.
+// at a heavily reduced workload scale, checks structural invariants of the
+// output and compares it byte for byte with testdata/harness/<name>.golden
+// (rewritten with -update). This is the integration test of the whole
+// evaluation path; cmd/crcbench runs the same code at full scale. The conc
+// sweep measures wall-clock throughput, so its output has no golden.
 func TestHarnessRendersAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness is slow")
@@ -34,6 +36,9 @@ func TestHarnessRendersAllExperiments(t *testing.T) {
 						t.Fatalf("%s output missing %s:\n%s", e.Name, prog, out)
 					}
 				}
+			}
+			if e.Name != "conc" {
+				checkGolden(t, "harness/"+e.Name+".golden", buf.Bytes())
 			}
 		})
 	}

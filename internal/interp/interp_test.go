@@ -301,12 +301,18 @@ func TestRuntimeErrors(t *testing.T) {
 	cases := []struct {
 		name, src, want string
 	}{
-		{"div by zero", "int main(void) { int z = 0; return 1 / z; }", "division by zero"},
-		{"mod by zero", "int main(void) { int z = 0; return 1 % z; }", "modulo by zero"},
-		{"null deref", "int main(void) { int *p = 0; return *p; }", "null pointer"},
-		{"oob", "int a[3]; int main(void) { int i = 5; int g[1]; return a[i+100000]; }", "out-of-bounds"},
-		{"assert", "int main(void) { __assert(0); return 0; }", "assertion failed"},
-		{"stack overflow", "int f(int x) { return f(x + 1); } int main(void) { return f(0); }", "stack overflow"},
+		{"div by zero", "int main(void) { int z = 0; return 1 / z; }", "runtime error at 1:38: integer division by zero"},
+		{"mod by zero", "int main(void) { int z = 0; return 1 % z; }", "runtime error at 1:38: integer modulo by zero"},
+		{"null deref", "int main(void) { int *p = 0; return *p; }", "runtime error at 1:37: null pointer dereference"},
+		{"null store", "int main(void) { int *p = 0; *p = 1; return 0; }", "runtime error at 1:33: store through null pointer"},
+		{"oob", "int a[3]; int main(void) { int i = 5; int g[1]; return a[i+100000]; }", "runtime error at 1:57: out-of-bounds access: globals[100005] (size 3)"},
+		{"oob store", "int main(void) { int g[2]; int i = -1; g[i] = 3; return 0; }", "runtime error at 1:45: out-of-bounds store: main[-1] (size 3)"},
+		{"null field", "struct S { int x; }; int main(void) { struct S *p = 0; return p->x; }", "runtime error at 1:64: field access through null pointer"},
+		{"null call", "int main(void) { int (*f)(int); f = 0; return f(1); }", "runtime error at 1:48: call of non-function value"},
+		{"ptr sub", "int a[2]; int main(void) { int b[2]; int *p = a; int *q = b; return p - q; }", "runtime error at 1:71: subtraction of pointers into different objects"},
+		{"ptr rel", "int a[2]; int main(void) { int b[2]; int *p = a; int *q = b; return p < q; }", "runtime error at 1:71: relational comparison of unrelated pointers"},
+		{"assert", "int main(void) { __assert(0); return 0; }", "runtime error at 1:26: assertion failed"},
+		{"stack overflow", "int f(int x) { return f(x + 1); } int main(void) { return f(0); }", "runtime error at 1:24: call stack overflow in f (depth 10000)"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -314,17 +320,71 @@ func TestRuntimeErrors(t *testing.T) {
 			if err == nil {
 				t.Fatal("expected runtime error")
 			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Errorf("error %q does not contain %q", err, c.want)
+			if _, ok := err.(*RuntimeError); !ok {
+				t.Fatalf("error %T, want *RuntimeError", err)
+			}
+			if err.Error() != c.want {
+				t.Errorf("error %q, want %q", err, c.want)
 			}
 		})
 	}
 }
 
+// stepProg executes exactly 12 statements: the body block, two
+// declarations, the for statement, its init, three iterations of a
+// two-statement body block, and the return at 7:5.
+const stepProg = `int main(void) {
+    int s = 0;
+    int i;
+    for (i = 0; i < 3; i++) {
+        s = s + i;
+    }
+    return s;
+}`
+
 func TestStepLimit(t *testing.T) {
 	_, err := Run(compile(t, `int main(void) { while (1) {} return 0; }`), Options{MaxSteps: 1000})
 	if err == nil || !strings.Contains(err.Error(), "step limit") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestStepLimitBoundary runs a terminating program with MaxSteps equal to
+// its statement count, then one less: the second run faults on the last
+// statement.
+func TestStepLimitBoundary(t *testing.T) {
+	prog := compile(t, stepProg)
+	res, err := Run(prog, Options{MaxSteps: 12})
+	if err != nil {
+		t.Fatalf("MaxSteps=12: %v", err)
+	}
+	if res.Ret != 3 {
+		t.Fatalf("ret = %d, want 3", res.Ret)
+	}
+	_, err = Run(prog, Options{MaxSteps: 11})
+	if want := "runtime error at 7:5: step limit exceeded (11 statements)"; err == nil || err.Error() != want {
+		t.Fatalf("MaxSteps=11: err = %v, want %q", err, want)
+	}
+}
+
+// TestMaxDepthBoundary recurses to a known depth: main plus f(5) .. f(0)
+// is seven frames.
+func TestMaxDepthBoundary(t *testing.T) {
+	prog := compile(t, `int f(int n) {
+    if (n == 0) return 0;
+    return f(n - 1) + 1;
+}
+int main(void) { return f(5); }`)
+	res, err := Run(prog, Options{MaxDepth: 7})
+	if err != nil {
+		t.Fatalf("MaxDepth=7: %v", err)
+	}
+	if res.Ret != 5 {
+		t.Fatalf("ret = %d, want 5", res.Ret)
+	}
+	_, err = Run(prog, Options{MaxDepth: 6})
+	if want := "runtime error at 3:13: call stack overflow in f (depth 6)"; err == nil || err.Error() != want {
+		t.Fatalf("MaxDepth=6: err = %v, want %q", err, want)
 	}
 }
 
