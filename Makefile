@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race liveness perfbench-check check bench bench-json bench-gate eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke
+.PHONY: build vet test race liveness goldens perfbench-check check bench bench-json bench-gate eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -25,13 +25,20 @@ liveness:
 	$(GO) test -race -count=10 -run 'TestPanicLiveness' .
 	$(GO) test -race -count=10 ./internal/flight/
 
+# goldens pins everything the VM produces: every suite program's full
+# pipeline report, every paper table and figure (testdata/ goldens,
+# rewritten with -update), and the exact VM fault strings. -v prints a
+# drifted golden's diff.
+goldens:
+	$(GO) test -count=1 -v -run 'TestReportGolden|TestHarnessRendersAllExperiments|TestRuntimeErrors' ./internal/bench/ ./internal/interp/
+
 # perfbench-check compiles and tests the benchmark runner, a nested module
 # that root `go build ./...` skips, so a root API change that breaks it
 # fails here rather than at benchmark time.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet race liveness perfbench-check
+check: build vet race liveness goldens perfbench-check
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .

@@ -84,6 +84,7 @@ func main() {
 		m := energy.Measure(res, energy.Default())
 		fmt.Fprintf(os.Stderr, "exit: %d\n", res.Ret)
 		fmt.Fprintf(os.Stderr, "cycles: %d (%.4fs at 206MHz, %s)\n", res.Cycles, res.Seconds(), model.Name)
+		fmt.Fprintf(os.Stderr, "steps: %d statements\n", res.Steps)
 		fmt.Fprintf(os.Stderr, "energy: %.3fJ (avg %.2fW, %.3fA at 5V)\n", m.Joules, m.AvgWatts, m.AvgCurrentA)
 		fmt.Fprintf(os.Stderr, "ops: int=%d mul=%d div=%d float=%d mem=%d branch=%d call=%d\n",
 			res.Ops.IntOps, res.Ops.MulOps, res.Ops.DivOps, res.Ops.FloatOps,

@@ -1,14 +1,12 @@
 package interp
 
 import (
-	"math"
-
 	"compreuse/internal/depmemo"
 	"compreuse/internal/minic"
 )
 
-// Dependence-tracked reuse regions (ReuseRegion.Dep). Where execReuse
-// forms a flat key from every declared input up front, execDepReuse
+// Dependence-tracked reuse regions (ReuseRegion.Dep). Where a flat-key
+// region forms its key from every declared input up front, a dep region
 // watches the body's actual reads of the declared input locations and
 // keys on that footprint via a depmemo.Table. The probe walks the
 // footprint trie against current memory — reading only the locations a
@@ -19,8 +17,8 @@ import (
 // body is deterministic over the watched locations, reads of a watched
 // location after the body itself wrote it are derived values rather
 // than inputs, and every read of watched memory funnels through the
-// interpreter's load paths, so the recorded footprint is exact — there
-// is no untracked channel into the body.
+// VM's load paths (machine.load and machine.readSlot), so the recorded
+// footprint is exact — there is no untracked channel into the body.
 
 // depRange is one watched input: words [base, base+words) of seg,
 // addressed in the trie as Loc{Input: input, Off: cell-base} (scalars
@@ -107,17 +105,14 @@ func (w *depWatcher) Fetch(l depmemo.Loc) uint64 {
 
 // depEncode maps a cell value to its 64-bit equality label.
 func depEncode(v Value) uint64 {
-	switch v.K {
-	case KFloat:
-		return math.Float64bits(v.F)
-	case KPtr:
+	if v.K == KPtr {
 		// Pointer-valued cells key on the offset only; segment identity
 		// is not stable across runs, but within one run two watched
 		// pointers into the same frame differ exactly by offset.
-		return depOOB(uint64(v.P.off) ^ 0x70747265)
-	default:
-		return uint64(v.I)
+		return depOOB(uint64(v.I) ^ 0x70747265)
 	}
+	// Ints and the IEEE bits of floats.
+	return uint64(v.I)
 }
 
 // depOOB mixes a sentinel label (murmur3 finalizer, matching depmemo's
@@ -133,7 +128,7 @@ func depOOB(x uint64) uint64 {
 }
 
 // getDepWatcher pops a cleared watcher off the machine's free list.
-func (mc *Machine) getDepWatcher() *depWatcher {
+func (mc *machine) getDepWatcher() *depWatcher {
 	if n := len(mc.depFree); n > 0 {
 		w := mc.depFree[n-1]
 		mc.depFree = mc.depFree[:n-1]
@@ -145,7 +140,7 @@ func (mc *Machine) getDepWatcher() *depWatcher {
 	}
 }
 
-func (mc *Machine) putDepWatcher(w *depWatcher) {
+func (mc *machine) putDepWatcher(w *depWatcher) {
 	w.parent = nil
 	w.ranges = w.ranges[:0]
 	w.path = w.path[:0]
@@ -154,72 +149,90 @@ func (mc *Machine) putDepWatcher(w *depWatcher) {
 	mc.depFree = append(mc.depFree, w)
 }
 
-// execDepReuse executes a dependence-tracked ReuseRegion.
+// depRegion lowers a dependence-tracked ReuseRegion.
 //
 // In reuse mode the footprint trie is probed against current memory; a
 // hit copies the stored outputs, a miss runs the body under a watcher
 // and records the observed read path. DepOverhead is charged over the
 // footprint actually walked (the trie touches one location per level,
-// so hits and misses pay for the same per-level work, mirroring
-// execReuse's accounting). In profile mode the body always runs and the
+// so hits and misses pay for the same per-level work, mirroring the
+// flat-key accounting). In profile mode the body always runs and the
 // table takes the footprint census unpriced.
-func (mc *Machine) execDepReuse(s *minic.ReuseRegion, fr *Seg) ctrl {
+func (l *lowerer) depRegion(s *minic.ReuseRegion) stmtFn {
+	mc := l.mc
+	m := l.m
+	pos := s.Pos()
 	tab := mc.depTabs[s.TableID]
 	if tab == nil {
-		panic(rtErr(s.Pos(), "dep reuse region %q references unknown dep table %d", s.SegName, s.TableID))
+		return func(*Seg) ctrl {
+			mc.step(pos)
+			panic(rtErr(pos, "dep reuse region %q references unknown dep table %d", s.SegName, s.TableID))
+		}
 	}
-	st := mc.segs[s.ID()]
-	if st == nil {
-		st = &SegRunStats{}
-		mc.segs[s.ID()] = st
+	type input struct {
+		addr   ptrFn
+		words  int
+		scalar bool
 	}
-	st.Instances++
-
-	w := mc.getDepWatcher()
-	for _, in := range s.Inputs {
+	ins := make([]input, len(s.Inputs))
+	for i, in := range s.Inputs {
 		t := in.Type()
-		p := mc.evalLValue(in, fr)
 		if minic.IsAggregate(t) {
-			w.ranges = append(w.ranges, depRange{seg: p.seg, base: p.off, words: t.Words()})
+			ins[i] = input{addr: l.addr(in), words: t.Words()}
 		} else {
-			w.ranges = append(w.ranges, depRange{seg: p.seg, base: p.off, words: 1, scalar: true})
+			ins[i] = input{addr: l.addr(in), words: 1, scalar: true}
 		}
 	}
-
+	readOuts, writeOuts := l.outputs(s)
+	body := l.stmt(s.Body)
 	profile := tab.Config().Profile
-	if !profile {
-		r := tab.Probe(w)
-		if r.Hit {
-			oh := mc.m.DepOverhead(r.Steps, len(r.Outs)*4)
-			mc.charge(oh)
-			mc.ops.HashOps += oh
-			st.OverheadCycles += oh
-			st.Hits++
-			mc.writeOutputs(s, r.Outs, fr)
-			mc.putDepWatcher(w)
-			return cNone
-		}
-	}
-
-	w.parent = mc.depWatch
-	mc.depWatch = w
-	before := mc.cycles
-	c := mc.execStmt(s.Body, fr)
-	mc.depWatch = w.parent
-	st.BodyCycles += mc.cycles - before
-	st.BodyRuns++
-	if c == cRet || c == cBreak || c == cCont {
-		mc.putDepWatcher(w)
-		return c
-	}
-	outs := mc.readOutputs(s, fr)
-	tab.Record(w.path, outs)
-	if !profile {
-		oh := mc.m.DepOverhead(len(w.path), len(outs)*4)
-		mc.charge(oh)
+	charge := func(st *SegRunStats, oh int64) {
+		mc.cycles += oh
 		mc.ops.HashOps += oh
 		st.OverheadCycles += oh
 	}
-	mc.putDepWatcher(w)
-	return cNone
+	id := s.ID()
+	var st *SegRunStats
+	return func(fr *Seg) ctrl {
+		mc.step(pos)
+		if st == nil {
+			st = mc.segStats(id)
+		}
+		st.Instances++
+
+		w := mc.getDepWatcher()
+		for _, in := range ins {
+			p := in.addr(fr)
+			w.ranges = append(w.ranges, depRange{seg: p.seg, base: p.off, words: in.words, scalar: in.scalar})
+		}
+		if !profile {
+			if r := tab.Probe(w); r.Hit {
+				charge(st, m.DepOverhead(r.Steps, len(r.Outs)*4))
+				st.Hits++
+				writeOuts(fr, r.Outs)
+				mc.putDepWatcher(w)
+				return cNone
+			}
+		}
+
+		w.parent = mc.depWatch
+		mc.depWatch = w
+		before := mc.cycles
+		c := body(fr)
+		mc.depWatch = w.parent
+		st.BodyCycles += mc.cycles - before
+		st.BodyRuns++
+		if c == cNone {
+			omark := len(mc.outBuf)
+			readOuts(fr)
+			outs := mc.outBuf[omark:]
+			tab.Record(w.path, outs)
+			if !profile {
+				charge(st, m.DepOverhead(len(w.path), len(outs)*4))
+			}
+			mc.outBuf = mc.outBuf[:omark]
+		}
+		mc.putDepWatcher(w)
+		return c
+	}
 }

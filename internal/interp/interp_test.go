@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -358,8 +359,8 @@ func TestStepLimitBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MaxSteps=12: %v", err)
 	}
-	if res.Ret != 3 {
-		t.Fatalf("ret = %d, want 3", res.Ret)
+	if res.Ret != 3 || res.Steps != 12 {
+		t.Fatalf("ret = %d, steps = %d, want 3 and 12", res.Ret, res.Steps)
 	}
 	_, err = Run(prog, Options{MaxSteps: 11})
 	if want := "runtime error at 7:5: step limit exceeded (11 statements)"; err == nil || err.Error() != want {
@@ -480,7 +481,23 @@ func TestMainWithArgs(t *testing.T) {
 // ReuseRegion on table 0, keyed by val, producing i.
 func wrapQuan(t *testing.T, mode reusetab.Mode) (*minic.Program, map[int]*reusetab.Table, *minic.ReuseRegion) {
 	t.Helper()
-	prog := compile(t, `
+	prog, rr := wrapQuanLoop(t, 300)
+	return prog, map[int]*reusetab.Table{0: quanTable(mode)}, rr
+}
+
+func quanTable(mode reusetab.Mode) *reusetab.Table {
+	return reusetab.New(reusetab.Config{
+		Name: "quan", Segs: 1, KeyBytes: 4,
+		OutWords: []int{1}, OutBytes: []int{4},
+		Mode: mode,
+	})
+}
+
+// wrapQuanLoop is wrapQuan's program with main calling quan iters times on
+// 30 distinct inputs.
+func wrapQuanLoop(t *testing.T, iters int) (*minic.Program, *minic.ReuseRegion) {
+	t.Helper()
+	prog := compile(t, fmt.Sprintf(`
 int power2[15] = {1,2,4,8,16,32,64,128,256,512,1024,2048,4096,8192,16384};
 int quan(int val) {
     int i;
@@ -492,10 +509,10 @@ int quan(int val) {
 int main(void) {
     int s = 0;
     int v;
-    for (v = 0; v < 300; v++)
-        s += quan(v % 30);
+    for (v = 0; v < %d; v++)
+        s += quan(v %% 30);
     return s;
-}`)
+}`, iters))
 	fn := prog.Func("quan")
 	valSym := fn.Params[0].Sym
 	var iSym *minic.Symbol
@@ -513,12 +530,28 @@ int main(void) {
 		Body:    fn.Body.Stmts[1],
 	}
 	fn.Body.Stmts[1] = rr
-	tab := reusetab.New(reusetab.Config{
-		Name: "quan", Segs: 1, KeyBytes: 4,
-		OutWords: []int{1}, OutBytes: []int{4},
-		Mode: mode,
-	})
-	return prog, map[int]*reusetab.Table{0: tab}, rr
+	return prog, rr
+}
+
+// TestReuseRegionHitsDoNotAllocate pins the per-instance allocations of a
+// reuse region at zero: the key and output words live on machine-owned
+// scratch stacks and the callee's frame is recycled, so a run of 10000
+// region instances (9970 hits) allocates no more than a run of 100.
+func TestReuseRegionHitsDoNotAllocate(t *testing.T) {
+	allocs := func(iters int) float64 {
+		prog, _ := wrapQuanLoop(t, iters)
+		return testing.AllocsPerRun(5, func() {
+			tabs := map[int]*reusetab.Table{0: quanTable(reusetab.ModeReuse)}
+			if _, err := Run(prog, Options{Tables: tabs}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(100), allocs(10000)
+	t.Logf("allocs per run: %v for 100 instances, %v for 10000", small, large)
+	if large > small+4 {
+		t.Fatalf("allocations grow with region instances: %v for 100, %v for 10000", small, large)
+	}
 }
 
 func TestReuseRegionCorrectness(t *testing.T) {

@@ -73,6 +73,8 @@ type Result struct {
 	Ret int64
 	// Cycles is the total modeled cycle count.
 	Cycles int64
+	// Steps is the number of statements executed.
+	Steps int64
 	// Output is everything printed by the program.
 	Output string
 	// Ops are the executed operation counts by class.
@@ -90,9 +92,9 @@ type Result struct {
 // Seconds returns the modeled wall-clock time of the run.
 func (r *Result) Seconds() float64 { return cost.Seconds(r.Cycles) }
 
-// Machine executes one program. A Machine is single-use: create, Run, read
-// results.
-type Machine struct {
+// machine is the state of one run. Lowered closures capture it, so a
+// machine and its lowered code are single-use.
+type machine struct {
 	prog    *minic.Program
 	m       *cost.Model
 	globals *Seg
@@ -107,51 +109,66 @@ type Machine struct {
 	depTabs map[int]*depmemo.Table
 	segs    map[int]*SegRunStats
 	freq    []int64
-	retVal  Value
+	// noFreq absorbs frequency counts when CollectFreq is off, so counting
+	// closures increment unconditionally.
+	noFreq int64
+	retVal Value
 	// depWatch heads the chain of active dep-region watchers (nil when
 	// no dependence-tracked body is executing — the common case, paid
 	// as one nil check per load/store).
 	depWatch *depWatcher
 	depFree  []*depWatcher
-	// overheadMemo caches the hashing overhead per (table, seg).
-	overheadMemo map[[2]int]int64
+	funcs    map[*minic.FuncDecl]*lfunc
+	// keyBuf and outBuf are scratch stacks for reuse-region keys and
+	// output words: a region pushes at the top and pops on exit, so nested
+	// and recursive regions each see their own slice.
+	keyBuf []byte
+	outBuf []uint64
 }
 
-// New creates a machine for prog (which must be Checked).
-func New(prog *minic.Program, opts Options) *Machine {
-	m := opts.Model
-	if m == nil {
-		m = cost.O0()
-	}
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 4e9
-	}
-	maxDep := opts.MaxDepth
-	if maxDep == 0 {
-		maxDep = 10000
-	}
-	mc := &Machine{
-		prog:         prog,
-		m:            m,
-		globals:      &Seg{data: make([]Value, prog.GlobalWords), name: "globals"},
-		maxStep:      maxSteps,
-		maxDep:       maxDep,
-		tables:       opts.Tables,
-		depTabs:      opts.DepTables,
-		segs:         map[int]*SegRunStats{},
-		overheadMemo: map[[2]int]int64{},
-	}
-	if opts.CollectFreq {
-		mc.freq = make([]int64, prog.NumNodes)
-	}
-	return mc
+// lfunc is one function of the run, lowered on its first call.
+type lfunc struct {
+	decl *minic.FuncDecl
+	body func(*Seg) ctrl
+	// callCost and retCost are the cycles charged on entry (call plus one
+	// store per parameter) and on return.
+	callCost, retCost int64
+	// count is the function's execution-frequency counter.
+	count *int64
+	// escapes is set while lowering when a pointer into the frame can
+	// outlive the call; frames of functions that never escape are
+	// recycled through free.
+	escapes bool
+	free    []*Seg
 }
 
 // Run executes the program from main and returns the result. Runtime
 // faults are returned as *RuntimeError.
 func Run(prog *minic.Program, opts Options) (res *Result, err error) {
-	mc := New(prog, opts)
+	m := opts.Model
+	if m == nil {
+		m = cost.O0()
+	}
+	mc := &machine{
+		prog:    prog,
+		m:       m,
+		globals: &Seg{data: make([]Value, prog.GlobalWords), name: "globals"},
+		maxStep: opts.MaxSteps,
+		maxDep:  opts.MaxDepth,
+		tables:  opts.Tables,
+		depTabs: opts.DepTables,
+		segs:    map[int]*SegRunStats{},
+		funcs:   map[*minic.FuncDecl]*lfunc{},
+	}
+	if mc.maxStep == 0 {
+		mc.maxStep = 4e9
+	}
+	if mc.maxDep == 0 {
+		mc.maxDep = 10000
+	}
+	if opts.CollectFreq {
+		mc.freq = make([]int64, prog.NumNodes)
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			if re, ok := r.(*RuntimeError); ok {
@@ -166,17 +183,19 @@ func Run(prog *minic.Program, opts Options) (res *Result, err error) {
 	if mainFn == nil {
 		return nil, rtErr(minic.Pos{}, "program has no main function")
 	}
-	args := make([]Value, len(opts.Args))
-	for i, a := range opts.Args {
-		args[i] = IntVal(a)
+	if len(opts.Args) != len(mainFn.Params) {
+		return nil, rtErr(mainFn.Pos(), "main takes %d arguments, got %d", len(mainFn.Params), len(opts.Args))
 	}
-	if len(args) != len(mainFn.Params) {
-		return nil, rtErr(mainFn.Pos(), "main takes %d arguments, got %d", len(mainFn.Params), len(args))
+	lf := mc.fn(mainFn)
+	fr := mc.frame(lf)
+	for i, p := range mainFn.Params {
+		fr.data[p.Sym.Slot] = convert(intV(opts.Args[i]), p.Type)
 	}
-	ret := mc.call(mainFn, args, mainFn.Pos())
+	ret := mc.enter(lf, fr, mainFn.Pos())
 	return &Result{
-		Ret:       ret.I,
+		Ret:       ret.intPart(),
 		Cycles:    mc.cycles,
+		Steps:     mc.steps,
 		Output:    mc.out.String(),
 		Ops:       mc.ops,
 		Freq:      mc.freq,
@@ -186,72 +205,135 @@ func Run(prog *minic.Program, opts Options) (res *Result, err error) {
 	}, nil
 }
 
-// initGlobals zero-fills global storage and evaluates initializers in
-// declaration order (later globals may read earlier ones).
-func (mc *Machine) initGlobals() {
-	fr := &Seg{data: nil, name: "init"}
-	for _, g := range mc.prog.Globals {
-		base := g.Sym.Slot
-		if g.Init != nil {
-			v := mc.evalExpr(g.Init, fr)
-			mc.globals.data[base] = convert(v, g.Type)
-		}
-		if g.InitList != nil {
-			at := g.Type.(*minic.Array)
-			et := scalarElem(at)
-			for i, e := range g.InitList {
-				v := mc.evalExpr(e, fr)
-				mc.globals.data[base+i] = convert(v, et)
-			}
-			// Remaining cells stay zero, with the element's kind.
-			zero := convert(IntVal(0), et)
-			for i := len(g.InitList); i < at.Words(); i++ {
-				mc.globals.data[base+i] = zero
-			}
-		}
+// fn returns the run's record for decl, creating it (unlowered) on first
+// reference.
+func (mc *machine) fn(decl *minic.FuncDecl) *lfunc {
+	if lf := mc.funcs[decl]; lf != nil {
+		return lf
 	}
+	lf := &lfunc{
+		decl:     decl,
+		callCost: mc.m.Call + int64(len(decl.Params))*mc.m.Store,
+		retCost:  mc.m.Ret,
+		count:    mc.counter(decl.ID()),
+	}
+	mc.funcs[decl] = lf
+	return lf
 }
 
-// scalarElem returns the ultimate scalar element type of a (possibly
-// nested) array type.
-func scalarElem(t minic.Type) minic.Type {
-	for {
-		at, ok := t.(*minic.Array)
-		if !ok {
-			return t
-		}
-		t = at.Elem
+// frame returns a zeroed frame for one call of lf.
+func (mc *machine) frame(lf *lfunc) *Seg {
+	if n := len(lf.free); n > 0 {
+		fr := lf.free[n-1]
+		lf.free = lf.free[:n-1]
+		clear(fr.data)
+		return fr
 	}
+	return &Seg{data: make([]Value, lf.decl.FrameWords), name: lf.decl.Name}
 }
 
-func (mc *Machine) charge(c int64) { mc.cycles += c }
-func (mc *Machine) chargeInt()     { mc.cycles += mc.m.IntALU; mc.ops.IntOps++ }
-func (mc *Machine) chargeMul()     { mc.cycles += mc.m.IntMul; mc.ops.MulOps++ }
-func (mc *Machine) chargeDiv()     { mc.cycles += mc.m.IntDiv; mc.ops.DivOps++ }
-func (mc *Machine) chargeLoad()    { mc.cycles += mc.m.Load; mc.ops.MemOps++ }
-func (mc *Machine) chargeStore()   { mc.cycles += mc.m.Store; mc.ops.MemOps++ }
-func (mc *Machine) chargeLocal() {
-	if mc.m.LocalAccess != 0 {
-		mc.cycles += mc.m.LocalAccess
-		mc.ops.MemOps++
+// enter runs lf on fr, whose parameter slots the caller has filled, and
+// returns the function's result converted to its return type (the zero
+// Value when the body falls off its end).
+func (mc *machine) enter(lf *lfunc, fr *Seg, pos minic.Pos) Value {
+	d := lf.decl
+	if d.Body == nil {
+		panic(rtErr(pos, "call of undefined function %s", d.Name))
 	}
+	mc.depth++
+	if mc.depth > mc.maxDep {
+		panic(rtErr(pos, "call stack overflow in %s (depth %d)", d.Name, mc.maxDep))
+	}
+	mc.cycles += lf.callCost
+	mc.ops.Calls++
+	mc.ops.MemOps += int64(len(d.Params))
+	*lf.count++
+	if lf.body == nil {
+		mc.lowerFunc(lf)
+	}
+	var ret Value
+	if lf.body(fr) == cRet {
+		ret = mc.retVal
+	}
+	mc.depth--
+	mc.cycles += lf.retCost
+	if !lf.escapes {
+		lf.free = append(lf.free, fr)
+	}
+	return ret
 }
-func (mc *Machine) chargeBranch() { mc.cycles += mc.m.Branch; mc.ops.Branches++ }
-func (mc *Machine) chargeFloat(c int64) {
-	mc.cycles += c
-	mc.ops.FloatOps++
+
+// counter returns the frequency counter of node id.
+func (mc *machine) counter(id int) *int64 {
+	if id < len(mc.freq) {
+		return &mc.freq[id]
+	}
+	return &mc.noFreq
 }
+
+// Charges. Lowered closures pass the model's cost as a constant.
+func (mc *machine) chInt(c int64)    { mc.cycles += c; mc.ops.IntOps++ }
+func (mc *machine) chMul(c int64)    { mc.cycles += c; mc.ops.MulOps++ }
+func (mc *machine) chDiv(c int64)    { mc.cycles += c; mc.ops.DivOps++ }
+func (mc *machine) chFloat(c int64)  { mc.cycles += c; mc.ops.FloatOps++ }
+func (mc *machine) chMem(c int64)    { mc.cycles += c; mc.ops.MemOps++ }
+func (mc *machine) chBranch(c int64) { mc.cycles += c; mc.ops.Branches++ }
 
 // step counts one executed statement against the step limit.
-func (mc *Machine) step(pos minic.Pos) {
+func (mc *machine) step(pos minic.Pos) {
 	mc.steps++
 	if mc.steps > mc.maxStep {
-		panic(rtErr(pos, "step limit exceeded (%d statements)", mc.maxStep))
+		mc.stepFault(pos)
 	}
 }
 
-func (mc *Machine) countNode(id int) {
-	if mc.freq != nil && id < len(mc.freq) {
-		mc.freq[id]++
+func (mc *machine) stepFault(pos minic.Pos) {
+	panic(rtErr(pos, "step limit exceeded (%d statements)", mc.maxStep))
+}
+
+// load reads the cell at p, faulting on null and out-of-bounds pointers,
+// and reports the read to any active dep watcher. The caller charges.
+func (mc *machine) load(p Ptr, pos minic.Pos) Value {
+	if p.seg == nil {
+		panic(rtErr(pos, "null pointer dereference"))
 	}
+	if p.off < 0 || p.off >= len(p.seg.data) {
+		panic(rtErr(pos, "out-of-bounds access: %s[%d] (size %d)", p.seg.name, p.off, len(p.seg.data)))
+	}
+	v := p.seg.data[p.off]
+	if mc.depWatch != nil {
+		mc.depWatch.onRead(p.seg, p.off, v)
+	}
+	return v
+}
+
+// store writes v at p with load's checks. The caller charges.
+func (mc *machine) store(p Ptr, v Value, pos minic.Pos) {
+	if p.seg == nil {
+		panic(rtErr(pos, "store through null pointer"))
+	}
+	if p.off < 0 || p.off >= len(p.seg.data) {
+		panic(rtErr(pos, "out-of-bounds store: %s[%d] (size %d)", p.seg.name, p.off, len(p.seg.data)))
+	}
+	if mc.depWatch != nil {
+		mc.depWatch.onWrite(p.seg, p.off)
+	}
+	p.seg.data[p.off] = v
+}
+
+// readSlot and writeSlot access a variable's slot in a frame or the
+// global area, which lowering has placed in bounds.
+func (mc *machine) readSlot(fr *Seg, slot int) Value {
+	v := fr.data[slot]
+	if mc.depWatch != nil {
+		mc.depWatch.onRead(fr, slot, v)
+	}
+	return v
+}
+
+func (mc *machine) writeSlot(fr *Seg, slot int, v Value) {
+	if mc.depWatch != nil {
+		mc.depWatch.onWrite(fr, slot)
+	}
+	fr.data[slot] = v
 }

@@ -2,14 +2,12 @@ package interp
 
 import (
 	"math"
-	"strconv"
-	"strings"
 
 	"compreuse/internal/minic"
 	"compreuse/internal/reusetab"
 )
 
-// execReuse executes a ReuseRegion (paper Fig. 2b):
+// region lowers a flat-key ReuseRegion (paper Fig. 2b):
 //
 //	key := concat(inputs)
 //	if probe(key) misses { run body; record(key, outputs) }
@@ -20,201 +18,215 @@ import (
 // ModeProfile no overhead is charged — profiling is an offline activity —
 // and the body always runs while the table takes the input census; the
 // region additionally measures the body's granularity.
-func (mc *Machine) execReuse(s *minic.ReuseRegion, fr *Seg) ctrl {
+//
+// The key and the recorded output words live on the machine's scratch
+// stacks for the duration of one instance; the table copies what it keeps.
+func (l *lowerer) region(s *minic.ReuseRegion) stmtFn {
+	mc := l.mc
+	pos := s.Pos()
 	tab := mc.tables[s.TableID]
 	if tab == nil {
-		panic(rtErr(s.Pos(), "reuse region %q references unknown table %d", s.SegName, s.TableID))
+		return func(*Seg) ctrl {
+			mc.step(pos)
+			panic(rtErr(pos, "reuse region %q references unknown table %d", s.SegName, s.TableID))
+		}
 	}
-	st := mc.segs[s.ID()]
-	if st == nil {
-		st = &SegRunStats{}
-		mc.segs[s.ID()] = st
-	}
-	st.Instances++
-
-	key := mc.buildKey(s, fr)
-	profile := tab.Config().Mode == reusetab.ModeProfile
-
+	key := l.key(s.Inputs)
+	readOuts, writeOuts := l.outputs(s)
+	body := l.stmt(s.Body)
+	seg := s.SegBit
+	cfg := tab.Config()
+	profile := cfg.Mode == reusetab.ModeProfile
+	var oh int64
 	if !profile {
-		oh := mc.hashOverhead(tab, s)
-		mc.charge(oh)
+		oh = l.m.HashOverhead(cfg.KeyBytes, cfg.OutBytes[seg])
+	}
+	id := s.ID()
+	var st *SegRunStats
+	return func(fr *Seg) ctrl {
+		mc.step(pos)
+		if st == nil {
+			st = mc.segStats(id)
+		}
+		st.Instances++
+		mark := len(mc.keyBuf)
+		key(fr)
+		k := mc.keyBuf[mark:]
+		mc.cycles += oh
 		mc.ops.HashOps += oh
 		st.OverheadCycles += oh
-	}
 
-	outs, hit := tab.Probe(s.SegBit, key)
-	if hit {
-		st.Hits++
-		mc.writeOutputs(s, outs, fr)
-		return cNone
-	}
+		if outs, hit := tab.Probe(seg, k); hit {
+			st.Hits++
+			writeOuts(fr, outs)
+			mc.keyBuf = mc.keyBuf[:mark]
+			return cNone
+		}
 
-	before := mc.cycles
-	c := mc.execStmt(s.Body, fr)
-	st.BodyCycles += mc.cycles - before
-	st.BodyRuns++
-	if c == cRet || c == cBreak || c == cCont {
-		// A body that escapes abnormally does not reach the region exit;
-		// its outputs are not well-defined there, so nothing is recorded.
-		// (The transform pass only wraps single-entry single-exit bodies,
-		// so this is defensive.)
+		before := mc.cycles
+		c := body(fr)
+		st.BodyCycles += mc.cycles - before
+		st.BodyRuns++
+		if c == cNone {
+			// A body that escapes abnormally does not reach the region
+			// exit; its outputs are not well-defined there, so nothing is
+			// recorded. (The transform pass only wraps single-entry
+			// single-exit bodies, so this is defensive.)
+			omark := len(mc.outBuf)
+			readOuts(fr)
+			tab.Record(seg, k, mc.outBuf[omark:])
+			mc.outBuf = mc.outBuf[:omark]
+		}
+		mc.keyBuf = mc.keyBuf[:mark]
 		return c
 	}
-	tab.Record(s.SegBit, key, mc.readOutputs(s, fr))
-	return cNone
 }
 
-// hashOverhead returns the memoized per-instance overhead for (table, seg).
-func (mc *Machine) hashOverhead(tab *reusetab.Table, s *minic.ReuseRegion) int64 {
-	k := [2]int{s.TableID, s.SegBit}
-	if oh, ok := mc.overheadMemo[k]; ok {
-		return oh
+// segStats returns the run stats of the region with node id, creating
+// them on the region's first execution: only executed regions appear in
+// Result.Segs.
+func (mc *machine) segStats(id int) *SegRunStats {
+	st := mc.segs[id]
+	if st == nil {
+		st = &SegRunStats{}
+		mc.segs[id] = st
 	}
-	cfg := tab.Config()
-	oh := mc.m.HashOverhead(cfg.KeyBytes, cfg.OutBytes[s.SegBit])
-	mc.overheadMemo[k] = oh
-	return oh
+	return st
 }
 
-// buildKey concatenates the bit patterns of the input values (paper §2.1).
-// Scalar ints contribute 4 bytes, floats 8; aggregate inputs contribute
-// every element.
-func (mc *Machine) buildKey(s *minic.ReuseRegion, fr *Seg) []byte {
-	var key []byte
-	for _, in := range s.Inputs {
-		key = mc.appendValue(key, in, fr)
-	}
-	return key
+// leaf is one scalar word of a flattened value: its offset from the
+// value's first word and whether it is a float.
+type leaf struct {
+	off   int
+	float bool
 }
 
-func (mc *Machine) appendValue(key []byte, e minic.Expr, fr *Seg) []byte {
-	t := e.Type()
-	if minic.IsAggregate(t) {
-		base := mc.evalLValue(e, fr)
-		return mc.appendWords(key, base, t, e.Pos())
-	}
-	v := mc.evalExpr(e, fr)
-	switch {
-	case minic.IsFloat(t):
-		return reusetab.AppendFloat(key, convert(v, minic.FloatType).F)
-	default:
-		return reusetab.AppendInt(key, convert(v, minic.IntType).I)
-	}
-}
-
-// appendWords flattens an aggregate at base into the key, element by
-// element, following the type structure.
-func (mc *Machine) appendWords(key []byte, base Ptr, t minic.Type, pos minic.Pos) []byte {
+// leaves flattens type t into its scalar words, element by element and
+// field by field.
+func leaves(t minic.Type, off int, out []leaf) []leaf {
 	switch t := t.(type) {
 	case *minic.Array:
 		ew := t.Elem.Words()
 		for i := 0; i < t.Len; i++ {
-			key = mc.appendWords(key, Ptr{seg: base.seg, off: base.off + i*ew}, t.Elem, pos)
+			out = leaves(t.Elem, off+i*ew, out)
 		}
-		return key
 	case *minic.Struct:
 		for _, f := range t.Fields {
-			key = mc.appendWords(key, Ptr{seg: base.seg, off: base.off + f.WordOff}, f.Type, pos)
+			out = leaves(f.Type, off+f.WordOff, out)
 		}
-		return key
 	default:
-		v := mc.loadPtr(base, t, pos)
-		if minic.IsFloat(t) {
-			return reusetab.AppendFloat(key, v.F)
-		}
-		return reusetab.AppendInt(key, v.I)
-	}
-}
-
-// readOutputs encodes the current values of the output lvalues.
-func (mc *Machine) readOutputs(s *minic.ReuseRegion, fr *Seg) []uint64 {
-	var out []uint64
-	for _, o := range s.Outputs {
-		t := o.Type()
-		if minic.IsAggregate(t) {
-			base := mc.evalLValue(o, fr)
-			out = mc.readWords(out, base, t, o.Pos())
-			continue
-		}
-		v := mc.evalExpr(o, fr)
-		out = append(out, encodeScalar(v, t))
+		out = append(out, leaf{off: off, float: minic.IsFloat(t)})
 	}
 	return out
 }
 
-func (mc *Machine) readWords(out []uint64, base Ptr, t minic.Type, pos minic.Pos) []uint64 {
-	switch t := t.(type) {
-	case *minic.Array:
-		ew := t.Elem.Words()
-		for i := 0; i < t.Len; i++ {
-			out = mc.readWords(out, Ptr{seg: base.seg, off: base.off + i*ew}, t.Elem, pos)
+// key lowers the key formation of a region: the bit patterns of the input
+// values concatenated onto the machine's key stack (paper §2.1). Scalar
+// ints contribute 4 bytes, floats 8; aggregate inputs contribute every
+// element, each a checked load.
+func (l *lowerer) key(inputs []minic.Expr) func(*Seg) {
+	mc := l.mc
+	ld := l.m.Load
+	parts := make([]func(*Seg), len(inputs))
+	for i, in := range inputs {
+		t := in.Type()
+		switch {
+		case minic.IsAggregate(t):
+			base := l.addr(in)
+			words := leaves(t, 0, nil)
+			pos := in.Pos()
+			parts[i] = func(fr *Seg) {
+				b := base(fr)
+				for _, w := range words {
+					v := mc.load(Ptr{seg: b.seg, off: b.off + w.off}, pos)
+					mc.chMem(ld)
+					if w.float {
+						mc.keyBuf = reusetab.AppendFloat(mc.keyBuf, v.floatPart())
+					} else {
+						mc.keyBuf = reusetab.AppendInt(mc.keyBuf, v.intPart())
+					}
+				}
+			}
+		case minic.IsFloat(t):
+			x := l.expr(in).asFloat()
+			parts[i] = func(fr *Seg) {
+				v := x(fr)
+				mc.keyBuf = reusetab.AppendFloat(mc.keyBuf, v)
+			}
+		default:
+			x := l.expr(in).asInt()
+			parts[i] = func(fr *Seg) {
+				v := x(fr)
+				mc.keyBuf = reusetab.AppendInt(mc.keyBuf, v)
+			}
 		}
-		return out
-	case *minic.Struct:
-		for _, f := range t.Fields {
-			out = mc.readWords(out, Ptr{seg: base.seg, off: base.off + f.WordOff}, f.Type, pos)
+	}
+	return func(fr *Seg) {
+		for _, p := range parts {
+			p(fr)
 		}
-		return out
-	default:
-		return append(out, encodeScalar(mc.loadPtr(base, t, pos), t))
 	}
 }
 
-// writeOutputs decodes stored words into the output lvalues on a hit.
-func (mc *Machine) writeOutputs(s *minic.ReuseRegion, words []uint64, fr *Seg) {
-	i := 0
-	for _, o := range s.Outputs {
+// outputs lowers a region's outputs: read pushes their current values onto
+// the machine's output stack as table words; write stores table words back
+// into them on a hit.
+func (l *lowerer) outputs(s *minic.ReuseRegion) (read func(*Seg), write func(*Seg, []uint64)) {
+	mc := l.mc
+	ld, st := l.m.Load, l.m.Store
+	reads := make([]func(*Seg), len(s.Outputs))
+	addrs := make([]ptrFn, len(s.Outputs))
+	words := make([][]leaf, len(s.Outputs))
+	pos := make([]minic.Pos, len(s.Outputs))
+	for i, o := range s.Outputs {
 		t := o.Type()
-		base := mc.evalLValue(o, fr)
-		i = mc.writeWords(words, i, base, t, o.Pos())
-	}
-	if i != len(words) {
-		panic(rtErr(s.Pos(), "reuse region %q: output width mismatch (%d of %d words)", s.SegName, i, len(words)))
-	}
-}
-
-func (mc *Machine) writeWords(words []uint64, i int, base Ptr, t minic.Type, pos minic.Pos) int {
-	switch t := t.(type) {
-	case *minic.Array:
-		ew := t.Elem.Words()
-		for j := 0; j < t.Len; j++ {
-			i = mc.writeWords(words, i, Ptr{seg: base.seg, off: base.off + j*ew}, t.Elem, pos)
+		addrs[i] = l.addr(o)
+		words[i] = leaves(t, 0, nil)
+		pos[i] = o.Pos()
+		switch {
+		case minic.IsAggregate(t):
+			base, ws, p := addrs[i], words[i], pos[i]
+			reads[i] = func(fr *Seg) {
+				b := base(fr)
+				for _, w := range ws {
+					v := mc.load(Ptr{seg: b.seg, off: b.off + w.off}, p)
+					mc.chMem(ld)
+					mc.outBuf = append(mc.outBuf, encodeScalar(v, w.float))
+				}
+			}
+		case minic.IsFloat(t):
+			x := l.expr(o).asFloat()
+			reads[i] = func(fr *Seg) {
+				v := x(fr)
+				mc.outBuf = append(mc.outBuf, math.Float64bits(v))
+			}
+		default:
+			x := l.expr(o).asInt()
+			reads[i] = func(fr *Seg) {
+				v := x(fr)
+				mc.outBuf = append(mc.outBuf, uint64(v))
+			}
 		}
-		return i
-	case *minic.Struct:
-		for _, f := range t.Fields {
-			i = mc.writeWords(words, i, Ptr{seg: base.seg, off: base.off + f.WordOff}, f.Type, pos)
+	}
+	read = func(fr *Seg) {
+		for _, r := range reads {
+			r(fr)
 		}
-		return i
-	default:
-		mc.storePtr(base, decodeScalar(words[i], t), pos)
-		return i + 1
 	}
-}
-
-func encodeScalar(v Value, t minic.Type) uint64 {
-	if minic.IsFloat(t) {
-		return math.Float64bits(convert(v, minic.FloatType).F)
+	rpos := s.Pos()
+	write = func(fr *Seg, outs []uint64) {
+		i := 0
+		for j, addr := range addrs {
+			b := addr(fr)
+			for _, w := range words[j] {
+				mc.store(Ptr{seg: b.seg, off: b.off + w.off}, decodeScalar(outs[i], w.float), pos[j])
+				mc.chMem(st)
+				i++
+			}
+		}
+		if i != len(outs) {
+			panic(rtErr(rpos, "reuse region %q: output width mismatch (%d of %d words)", s.SegName, i, len(outs)))
+		}
 	}
-	return uint64(convert(v, minic.IntType).I)
-}
-
-func decodeScalar(w uint64, t minic.Type) Value {
-	if minic.IsFloat(t) {
-		return FloatVal(math.Float64frombits(w))
-	}
-	return IntVal(int64(w))
-}
-
-// ---------------------------------------------------------------------------
-// Print formatting, shared by the builtins.
-
-func writeInt(sb *strings.Builder, v int64) {
-	sb.WriteString(strconv.FormatInt(v, 10))
-}
-
-func writeFloat(sb *strings.Builder, v float64) {
-	// %.6g keeps output stable across O-levels with differing rounding of
-	// the same computation.
-	sb.WriteString(strconv.FormatFloat(v, 'g', 6, 64))
+	return read, write
 }
